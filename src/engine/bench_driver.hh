@@ -20,7 +20,7 @@
  *     }
  *
  * The driver owns the engine (honouring --cache-dir, --workers,
- * --trace/--no-trace and --engine-stats), and the SvAT figures collapse
+ * --shards and --engine-stats), and the SvAT figures collapse
  * further to the benchmark()/figure()/techniques() shortcut with a
  * parameterless run().
  */

@@ -1,13 +1,10 @@
 #include "sim/checkpoint.hh"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
-#include "sim/functional.hh"
 #include "support/artifact_io.hh"
-#include "support/check.hh"
 #include "support/logging.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/memory_hierarchy.hh"
@@ -35,21 +32,6 @@ getRaw(std::istream &is, T &v)
 }
 
 } // namespace
-
-Checkpoint
-Checkpoint::capture(const FunctionalSim &sim)
-{
-    Checkpoint cp;
-    cp.pc = sim.curPc;
-    cp.icount = sim.icount;
-    cp.halted = sim.isHalted;
-    cp.intRegs.assign(sim.intRegs, sim.intRegs + numIntRegs);
-    cp.fpRegs.assign(sim.fpRegs, sim.fpRegs + numFpRegs);
-    sim.mem.forEachWord([&](uint64_t addr, int64_t value) {
-        cp.words.emplace_back(addr, value);
-    });
-    return cp;
-}
 
 Checkpoint
 Checkpoint::atPosition(uint64_t icount)
@@ -84,43 +66,12 @@ Checkpoint::restoreUarch(MemoryHierarchy &mem, CombinedPredictor &bp,
     return is.peek() == std::istringstream::traits_type::eof();
 }
 
-void
-Checkpoint::restore(FunctionalSim &sim) const
-{
-    YASIM_CHECK(hasArchState(),
-                "restoring a carrier checkpoint with no architectural "
-                "state (position %llu)",
-                static_cast<unsigned long long>(icount));
-    sim.curPc = pc;
-    sim.icount = icount;
-    sim.isHalted = halted;
-    std::copy(intRegs.begin(), intRegs.end(), sim.intRegs);
-    std::copy(fpRegs.begin(), fpRegs.end(), sim.fpRegs);
-    sim.mem.clear();
-    for (const auto &[addr, value] : words)
-        sim.mem.write(addr, value);
-}
-
 // yasim-lint: serialized(checkpoint)
 void
 Checkpoint::writeBinary(std::ostream &os) const
 {
     putRaw(os, kCheckpointFormatVersion);
-    putRaw(os, pc);
     putRaw(os, icount);
-    putRaw(os, static_cast<uint8_t>(halted ? 1 : 0));
-    putRaw(os, static_cast<uint32_t>(intRegs.size()));
-    for (int64_t r : intRegs)
-        putRaw(os, r);
-    putRaw(os, static_cast<uint32_t>(fpRegs.size()));
-    for (double r : fpRegs)
-        putRaw(os, r);
-    putRaw(os, static_cast<uint64_t>(words.size()));
-    for (const auto &[addr, value] : words) {
-        putRaw(os, addr);
-        putRaw(os, value);
-    }
-    // Version-3 trailer: the optional warmed-uarch summary.
     putRaw(os, static_cast<uint8_t>(hasUarch() ? 1 : 0));
     if (hasUarch()) {
         putRaw(os, static_cast<uint32_t>(warmKey.size()));
@@ -137,39 +88,10 @@ bool
 Checkpoint::readBinary(std::istream &is, Checkpoint &out)
 {
     uint32_t version = 0;
-    uint8_t halted_byte = 0;
-    uint32_t n_int = 0, n_fp = 0;
-    uint64_t n_words = 0;
     if (!getRaw(is, version) || version != kCheckpointFormatVersion)
         return false;
-    if (!getRaw(is, out.pc) || !getRaw(is, out.icount) ||
-        !getRaw(is, halted_byte) || !getRaw(is, n_int)) {
+    if (!getRaw(is, out.icount))
         return false;
-    }
-    out.halted = halted_byte != 0;
-    if (n_int > 4096)
-        return false;
-    out.intRegs.resize(n_int);
-    for (int64_t &r : out.intRegs)
-        if (!getRaw(is, r))
-            return false;
-    if (!getRaw(is, n_fp) || n_fp > 4096)
-        return false;
-    out.fpRegs.resize(n_fp);
-    for (double &r : out.fpRegs)
-        if (!getRaw(is, r))
-            return false;
-    if (!getRaw(is, n_words))
-        return false;
-    out.words.clear();
-    out.words.reserve(n_words);
-    for (uint64_t i = 0; i < n_words; ++i) {
-        uint64_t addr;
-        int64_t value;
-        if (!getRaw(is, addr) || !getRaw(is, value))
-            return false;
-        out.words.emplace_back(addr, value);
-    }
     uint8_t has_uarch = 0;
     if (!getRaw(is, has_uarch))
         return false;
@@ -239,53 +161,6 @@ Checkpoint::loadFile(const std::string &path, Checkpoint &out)
         return false;
     }
     return true;
-}
-
-size_t
-Checkpoint::footprintBytes() const
-{
-    return sizeof(*this) + intRegs.size() * sizeof(int64_t) +
-           fpRegs.size() * sizeof(double) +
-           words.size() * sizeof(words[0]) + warmKey.size() +
-           warmBlob.size();
-}
-
-uint64_t
-CheckpointLibrary::build(const Program &program,
-                         const std::vector<uint64_t> &positions)
-{
-    checkpoints.clear();
-    FunctionalSim sim(program);
-    for (size_t i = 0; i < positions.size(); ++i) {
-        if (i > 0)
-            YASIM_CHECK_GE(positions[i], positions[i - 1]);
-        if (positions[i] > sim.instsExecuted())
-            sim.fastForward(positions[i] - sim.instsExecuted());
-        checkpoints.push_back(Checkpoint::capture(sim));
-    }
-    return sim.instsExecuted();
-}
-
-const Checkpoint *
-CheckpointLibrary::latestAtOrBefore(uint64_t position) const
-{
-    const Checkpoint *best = nullptr;
-    for (const Checkpoint &cp : checkpoints) {
-        if (cp.instruction() <= position)
-            best = &cp;
-        else
-            break;
-    }
-    return best;
-}
-
-size_t
-CheckpointLibrary::footprintBytes() const
-{
-    size_t total = 0;
-    for (const Checkpoint &cp : checkpoints)
-        total += cp.footprintBytes();
-    return total;
 }
 
 } // namespace yasim

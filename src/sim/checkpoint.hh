@@ -1,24 +1,16 @@
 /**
  * @file
- * Architectural checkpoints.
+ * Warm-state checkpoints: a dynamic position plus an optional
+ * warmed-uarch summary.
  *
- * A checkpoint captures a FunctionalSim's complete architectural state
- * — program counter, register files, instruction count, and (copy-on-
- * capture) data memory — so simulation can later resume from that point
- * without re-executing the prefix. This is the facility whose
- * generation cost the paper charges to SimPoint and the truncated
- * techniques: generating checkpoints is one pass over the program, and
- * every later run on a different machine configuration restores instead
- * of fast-forwarding.
- *
- * Microarchitectural state (caches, predictor) is *not* measured
- * state and is never required: techniques re-warm it, which is why
- * SimPoint pairs checkpoints with a warm-up policy. A checkpoint can
- * however carry an *optional* warmed-uarch summary — the serialized
- * cache tag arrays, TLB entries, and branch-predictor tables produced
- * by functional warming (uarch/warm_state.hh) — keyed by a caller-
- * supplied identity string, so repeated checkpoint-sharded runs skip
- * re-warming their lead-ins (docs/perf.md).
+ * Architectural state never needs a checkpoint here: it lives in the
+ * recorded trace, and a TraceReplayer seeks to any position in O(1).
+ * What a seek cannot restore is microarchitectural — the cache tag
+ * arrays, TLB entries, and branch-predictor tables functional warming
+ * produced up to that position. A Checkpoint carries exactly that
+ * summary (uarch/warm_state.hh), keyed by a caller-supplied identity
+ * string, so repeated checkpoint-sharded runs skip re-warming their
+ * lead-ins (docs/perf.md).
  */
 
 #ifndef YASIM_SIM_CHECKPOINT_HH
@@ -26,56 +18,33 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace yasim {
 
-class FunctionalSim;
 class MemoryHierarchy;
 class CombinedPredictor;
-class Program;
 
 /**
  * Binary layout version of Checkpoint::writeBinary. Bumped whenever
  * the serialized field set or ordering changes; readBinary rejects
- * mismatches so stale embedded checkpoints can never be misparsed.
+ * mismatches so stale checkpoint files can never be misparsed.
  * Version 2: version marker prepended, memory words emitted in
  * ascending address order (deterministic across standard libraries).
  * Version 3: optional warmed-uarch summary trailer (key + composite
- * blob, see uarch/warm_state.hh).
+ * blob, see uarch/warm_state.hh). Version 4: the architectural slice
+ * (pc, registers, memory words) is gone; a checkpoint is a position
+ * plus the optional summary.
  */
 // yasim-lint: version(checkpoint)
-constexpr uint32_t kCheckpointFormatVersion = 3;
+constexpr uint32_t kCheckpointFormatVersion = 4;
 
-/** A restorable snapshot of architectural state. */
+/** A dynamic position and the warm state reached there. */
 class Checkpoint
 {
   public:
-    /** Capture @p sim's full architectural state. */
-    static Checkpoint capture(const FunctionalSim &sim);
-
-    /**
-     * A carrier checkpoint at dynamic position @p icount with *no*
-     * architectural payload — it exists to hold a warmed-uarch summary
-     * for replay-mode sharding, where architectural state lives in the
-     * trace and only the warm tables are worth persisting.
-     */
+    /** An empty checkpoint at dynamic position @p icount. */
     static Checkpoint atPosition(uint64_t icount);
-
-    /**
-     * Restore into @p sim (which must run the same program). Requires
-     * hasArchState().
-     * @post sim.instsExecuted() == instruction() and execution
-     *       continues exactly as the original run did.
-     */
-    void restore(FunctionalSim &sim) const;
-
-    /** True when this checkpoint carries architectural state (i.e. it
-     *  was captured from a simulator, not built by atPosition). */
-    bool hasArchState() const { return !intRegs.empty(); }
 
     /**
      * Attach the warmed-uarch summary of @p mem and @p bp under
@@ -102,15 +71,11 @@ class Checkpoint
     bool restoreUarch(MemoryHierarchy &mem, CombinedPredictor &bp,
                       const std::string &key) const;
 
-    /** Dynamic instruction count at capture time. */
+    /** Dynamic instruction position of this checkpoint. */
     uint64_t instruction() const { return icount; }
 
-    /** Approximate in-memory footprint in bytes (for cost reports). */
-    size_t footprintBytes() const;
-
     /**
-     * Serialize to @p os as native-endian binary (trace embedding; see
-     * docs/trace.md for the cache-locality caveats). The stream opens
+     * Serialize to @p os as native-endian binary. The stream opens
      * with kCheckpointFormatVersion.
      */
     void writeBinary(std::ostream &os) const;
@@ -141,55 +106,11 @@ class Checkpoint
   private:
     Checkpoint() = default;
 
-    friend class ExecTrace; // builds checkpoint vectors during read()
-
-    uint64_t pc = 0;
     uint64_t icount = 0;
-    bool halted = false;
-    std::vector<int64_t> intRegs;
-    std::vector<double> fpRegs;
-    /** Deep copy of every touched memory word (addr -> value). */
-    std::vector<std::pair<uint64_t, int64_t>> words;
-
     /** Identity key of the optional warmed-uarch summary ("" = none). */
     std::string warmKey;
     /** Composite warm-state blob (uarch/warm_state.hh layout). */
     std::string warmBlob;
-};
-
-/**
- * An ordered library of checkpoints for one program, built in one
- * architectural pass and then reused across machine configurations.
- */
-class CheckpointLibrary
-{
-  public:
-    /**
-     * Build checkpoints at the given dynamic-instruction positions
-     * (must be sorted ascending) by executing @p program once.
-     *
-     * @return instructions executed during generation (the cost).
-     */
-    uint64_t build(const Program &program,
-                   const std::vector<uint64_t> &positions);
-
-    /** Number of checkpoints held. */
-    size_t size() const { return checkpoints.size(); }
-
-    /**
-     * The latest checkpoint at or before @p position, or nullptr when
-     * none qualifies.
-     */
-    const Checkpoint *latestAtOrBefore(uint64_t position) const;
-
-    /** Checkpoint @p idx in position order. */
-    const Checkpoint &at(size_t idx) const { return checkpoints[idx]; }
-
-    /** Total footprint of all checkpoints in bytes. */
-    size_t footprintBytes() const;
-
-  private:
-    std::vector<Checkpoint> checkpoints;
 };
 
 } // namespace yasim

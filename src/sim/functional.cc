@@ -18,7 +18,7 @@ StepSource::stepBatch(ExecRecord *out, uint64_t n)
 }
 
 FunctionalSim::FunctionalSim(const Program &program)
-    : prog(program), code(program.code())
+    : code(program.code())
 {
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * Functional (architectural) simulator: the live StepSource.
+ * Functional (architectural) simulator: the interpreter.
  *
- * Executes programs at architectural level only; the cycle-level core is
- * trace-driven from the ExecRecord stream this simulator produces. The
- * interface it implements — step / fastForward / fastForwardWarm — is
- * the StepSource seam (sim/step_source.hh); consumers above the
- * functional layer include that header, not this one, so a recorded
- * trace can stand in for the interpreter.
+ * Executes programs at architectural level only. It has three jobs: it
+ * is the recorder inside ExecTrace::record (sim/trace.hh), the length
+ * probe behind measureReferenceLength, and the reference stream tests
+ * and benchmarks compare replay against. Every technique, shard, and
+ * live point consumes a TraceReplayer instead, through the StepSource
+ * seam (sim/step_source.hh) — consumers include that header, not this
+ * one.
  */
 
 #ifndef YASIM_SIM_FUNCTIONAL_HH
@@ -74,23 +75,13 @@ class FunctionalSim final : public StepSource
     /** Read an FP register. */
     double fpReg(int idx) const { return fpRegs[idx]; }
 
-    /** The program's data memory. */
-    SparseMemory &memory() { return mem; }
-
-    /** The program being executed. */
-    const Program &program() const { return prog; }
-
   private:
-    friend class Checkpoint; // captures/restores architectural state
-    friend class LivePoint;  // partial capture + record-producing warm step
-
     /** Execute one instruction; the caller has checked !isHalted. */
     template <bool MakeRecord, bool Warm>
     void execOne(ExecRecord *record, MemoryHierarchy *hierarchy,
                  CombinedPredictor *bp);
 
-    const Program &prog;
-    /** prog's instruction array, hoisted out of the interpreter loop. */
+    /** The program's instruction array (the program outlives us). */
     const Instruction *code;
     SparseMemory mem;
     int64_t intRegs[numIntRegs] = {};

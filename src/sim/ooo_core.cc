@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/functional.hh"
 #include "sim/trace.hh"
 #include "support/check.hh"
 
@@ -277,14 +276,11 @@ uint64_t
 OooCore::run(StepSource &src, uint64_t max_insts, BbProfiler *profiler,
              const CancelToken &cancel)
 {
-    // One dynamic-type resolution per run() call instead of one virtual
-    // step() per instruction. The concrete sources are final, so the
-    // typed loops devirtualize; unknown StepSource subclasses (tests)
-    // take the generic virtual loop. All paths are bit-identical.
+    // One dynamic-type resolution per run() call: replay takes the
+    // decoded-uop loop, anything else the generic batch loop. Both are
+    // bit-identical.
     if (auto *replay = dynamic_cast<TraceReplayer *>(&src))
         return runReplay(*replay, max_insts, profiler, cancel);
-    if (auto *live = dynamic_cast<FunctionalSim *>(&src))
-        return runSteps(*live, max_insts, profiler, cancel);
     return runSteps(src, max_insts, profiler, cancel);
 }
 
@@ -298,49 +294,6 @@ OooCore::runMeasured(StepSource &src, uint64_t max_insts,
     if (insts_done)
         *insts_done = done;
     return snapshot() - before;
-}
-
-template <typename Source>
-uint64_t
-OooCore::runSteps(Source &src, uint64_t max_insts, BbProfiler *profiler,
-                  const CancelToken &cancel)
-{
-    const uint32_t l1i_block = cfg.mem.l1i.blockBytes;
-    const uint64_t frontend = cfg.core.frontendDepth;
-
-    // Pull batches through the source's stepBatch kernel: one (possibly
-    // devirtualized) call per span instead of one per instruction. The
-    // buffer is small enough to live on the stack.
-    constexpr uint64_t kFetchBatch = 256;
-    ExecRecord recs[kFetchBatch];
-
-    uint64_t done = 0;
-    uint64_t next_poll = kCancelCheckInsts;
-    while (done < max_insts) {
-        // Batch-boundary cancellation poll, once per quantum so the
-        // loop stays branch-predictable (free for an invalid token).
-        if (done >= next_poll) {
-            if (cancel.cancelled())
-                break;
-            next_poll = done + kCancelCheckInsts;
-        }
-        const uint64_t want = std::min(max_insts - done, kFetchBatch);
-        const uint64_t n = src.stepBatch(recs, want);
-        if (n == 0)
-            break;
-        for (uint64_t i = 0; i < n; ++i) {
-            const ExecRecord &rec = recs[i];
-            // Replayed and live streams must satisfy the same contract.
-            YASIM_DCHECK(rec.inst != nullptr);
-            if (profiler)
-                profiler->record(rec.pc);
-            simulateOne(*rec.inst, Program::pcAddress(rec.pc), rec.nextPc,
-                        rec.memAddr, rec.taken, rec.trivial, l1i_block,
-                        frontend);
-        }
-        done += n;
-    }
-    return done;
 }
 
 uint64_t
@@ -374,6 +327,47 @@ OooCore::runReplay(TraceReplayer &src, uint64_t max_insts,
                         frontend);
         }
         src.advance(n);
+        done += n;
+    }
+    return done;
+}
+
+uint64_t
+OooCore::runSteps(StepSource &src, uint64_t max_insts, BbProfiler *profiler,
+                  const CancelToken &cancel)
+{
+    const uint32_t l1i_block = cfg.mem.l1i.blockBytes;
+    const uint64_t frontend = cfg.core.frontendDepth;
+
+    // Pull batches through the source's stepBatch kernel: one virtual
+    // call per span instead of one per instruction. The buffer is small
+    // enough to live on the stack.
+    constexpr uint64_t kFetchBatch = 256;
+    ExecRecord recs[kFetchBatch];
+
+    uint64_t done = 0;
+    uint64_t next_poll = kCancelCheckInsts;
+    while (done < max_insts) {
+        // Batch-boundary cancellation poll, once per quantum so the
+        // loop stays branch-predictable (free for an invalid token).
+        if (done >= next_poll) {
+            if (cancel.cancelled())
+                break;
+            next_poll = done + kCancelCheckInsts;
+        }
+        const uint64_t want = std::min(max_insts - done, kFetchBatch);
+        const uint64_t n = src.stepBatch(recs, want);
+        if (n == 0)
+            break;
+        for (uint64_t i = 0; i < n; ++i) {
+            const ExecRecord &rec = recs[i];
+            YASIM_DCHECK(rec.inst != nullptr);
+            if (profiler)
+                profiler->record(rec.pc);
+            simulateOne(*rec.inst, Program::pcAddress(rec.pc), rec.nextPc,
+                        rec.memAddr, rec.taken, rec.trivial, l1i_block,
+                        frontend);
+        }
         done += n;
     }
     return done;

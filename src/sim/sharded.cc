@@ -6,9 +6,7 @@
 #include <optional>
 #include <system_error>
 
-#include "sim/bb_profiler.hh"
 #include "sim/checkpoint.hh"
-#include "sim/functional.hh"
 #include "sim/ooo_core.hh"
 #include "sim/trace.hh"
 #include "support/check.hh"
@@ -153,9 +151,8 @@ constexpr uint64_t kWarmCancelChunk = 1 << 20;
  * @p warmed_done for honest partial-cost accounting. False = cancelled
  * mid-warm.
  */
-template <typename Src>
 bool
-warmChunked(Src &src, uint64_t n, OooCore &core,
+warmChunked(TraceReplayer &src, uint64_t n, OooCore &core,
             const CancelToken &cancel, std::atomic<uint64_t> &warmed_done)
 {
     while (n > 0) {
@@ -301,119 +298,6 @@ runShardedReference(const std::shared_ptr<const ExecTrace> &trace,
     }, cancel);
 
     refuseStitchIfCancelled(cancel, detailedDone, warmedDone);
-    result.stats = stitchStats(result.perShard);
-    result.warmRestores = restores.load();
-    result.warmSaves = saves.load();
-    return result;
-}
-
-ShardedRunResult
-runShardedReference(const Program &program, uint64_t length,
-                    const SimConfig &config, const ShardOptions &opts,
-                    const CancelToken &cancel)
-{
-    const std::vector<ShardSlice> plan =
-        planShards(length, opts.exact ? 1 : opts.shards, opts.warmupInsts);
-    std::vector<ShardPrep> prep = prepareShards(program, plan, config, opts);
-
-    // Architectural entry points for every bounded-warm-up shard, built
-    // in one functional pass. Built from the plan (not from summary
-    // availability) so the modeled checkpoint cost is deterministic,
-    // and so a corrupt summary always has a live fallback.
-    CheckpointLibrary library;
-    ShardedRunResult result;
-    {
-        std::vector<uint64_t> positions;
-        for (const ShardSlice &s : plan)
-            if (s.warmStart > 0)
-                positions.push_back(s.warmStart);
-        std::sort(positions.begin(), positions.end());
-        positions.erase(std::unique(positions.begin(), positions.end()),
-                        positions.end());
-        if (!positions.empty())
-            result.checkpointInsts = library.build(program, positions);
-    }
-
-    result.perShard.resize(plan.size());
-    chargePlan(plan, result);
-
-    std::atomic<uint32_t> restores{0};
-    std::atomic<uint32_t> saves{0};
-    std::atomic<uint64_t> detailedDone{0};
-    std::atomic<uint64_t> warmedDone{0};
-    std::vector<std::vector<double>> bbefShard(plan.size());
-    std::vector<std::vector<double>> bbvShard(plan.size());
-
-    globalPool().parallelFor(plan.size(), [&](size_t k) {
-        const ShardSlice &slice = plan[k];
-        FunctionalSim sim(program);
-        std::optional<OooCore> coreSlot;
-        bool warmed = false;
-        makeCore(coreSlot, config, prep[k], warmed);
-        OooCore &core = *coreSlot;
-        if (warmed) {
-            restores.fetch_add(1, std::memory_order_relaxed);
-            warmedDone.fetch_add(slice.begin - slice.warmStart,
-                                 std::memory_order_relaxed);
-        }
-
-        if (warmed && prep[k].summary.hasArchState()) {
-            // A live-saved summary carries the architectural state at
-            // the shard boundary too: one restore and we're measuring.
-            prep[k].summary.restore(sim);
-        } else {
-            if (slice.warmStart > 0) {
-                const Checkpoint *entry =
-                    library.latestAtOrBefore(slice.warmStart);
-                YASIM_CHECK(entry != nullptr,
-                            "missing shard entry checkpoint");
-                entry->restore(sim);
-            }
-            uint64_t lead = slice.begin - sim.instsExecuted();
-            if (warmed) {
-                // Replay-saved summary: warm tables came from the blob;
-                // only the architectural position must still advance.
-                sim.fastForward(lead);
-            } else if (lead > 0) {
-                if (!warmChunked(sim, lead, core, cancel, warmedDone))
-                    return; // cancelled mid-warm
-                if (!opts.warmDir.empty()) {
-                    Checkpoint summary = Checkpoint::capture(sim);
-                    summary.attachUarch(core.memHierarchy(),
-                                        core.predictor(), prep[k].key);
-                    if (summary.saveFile(
-                            warmSummaryPath(opts.warmDir, prep[k].key)))
-                        saves.fetch_add(1, std::memory_order_relaxed);
-                }
-            }
-        }
-        YASIM_DCHECK_EQ(sim.instsExecuted(), slice.begin);
-
-        if (cancel.cancelled())
-            return;
-        BbProfiler profiler(program);
-        uint64_t done = 0;
-        result.perShard[k] = core.runMeasured(
-            sim, slice.end - slice.begin, &profiler, &done, cancel);
-        detailedDone.fetch_add(done, std::memory_order_relaxed);
-        bbefShard[k] = profiler.bbef();
-        bbvShard[k] = profiler.bbv();
-    }, cancel);
-
-    refuseStitchIfCancelled(cancel, detailedDone, warmedDone);
-
-    // Stitch the profile in shard-index order. Every count is an
-    // integral double (weight 1.0), so the sum is exact and matches
-    // the sequential whole-run profile bit for bit.
-    result.bbef.assign(program.numBlocks(), 0.0);
-    result.bbv.assign(program.numBlocks(), 0.0);
-    for (size_t k = 0; k < plan.size(); ++k) {
-        for (size_t i = 0; i < result.bbef.size(); ++i) {
-            result.bbef[i] += bbefShard[k][i];
-            result.bbv[i] += bbvShard[k][i];
-        }
-    }
-
     result.stats = stitchStats(result.perShard);
     result.warmRestores = restores.load();
     result.warmSaves = saves.load();

@@ -6,12 +6,11 @@
  * repo: every figure anchors to it, yet it occupies one core while the
  * engine's pool parallelizes only across configurations. Sharding
  * splits the measured region at the canonical checkpoint ladder into N
- * slices; each worker positions an independent core at its slice —
- * seeking a TraceReplayer, or restoring the nearest architectural
- * Checkpoint live — functionally warms caches and predictor through
- * its lead-in (the SMARTS warming path), detail-simulates the slice on
- * a drained pipeline, and the per-shard SimStats are stitched in
- * shard-index order into whole-run statistics.
+ * slices; each worker seeks a private TraceReplayer cursor to its
+ * slice, functionally warms caches and predictor through its lead-in
+ * (the SMARTS warming path), detail-simulates the slice on a drained
+ * pipeline, and the per-shard SimStats are stitched in shard-index
+ * order into whole-run statistics.
  *
  * Exactness contract (docs/perf.md): instruction, conditional-branch,
  * data-reference, and trivial-op counters are bit-identical to the
@@ -22,7 +21,7 @@
  *
  * Warmed-uarch summaries: when ShardOptions::warmDir is set, each
  * shard's post-warming cache/TLB/predictor state is persisted as a
- * Checkpoint summary (sim/checkpoint.hh) keyed by the warm identity —
+ * Checkpoint carrier (sim/checkpoint.hh) keyed by the warm identity —
  * program content, slice, warm-relevant configuration, and format
  * versions — so repeated runs (config sweeps varying only latencies
  * included) restore instead of re-warming. Summaries affect wall-clock
@@ -44,7 +43,6 @@
 namespace yasim {
 
 class ExecTrace;
-class Program;
 
 /** How per-shard statistics combine into whole-run statistics. */
 enum class StitchMode
@@ -103,7 +101,7 @@ struct ShardSlice
 
 /**
  * Split [0, length) into at most @p shards slices with boundaries
- * aligned to the nearest rung of the canonical checkpoint ladder
+ * aligned to the nearest rung of the canonical ladder
  * (ExecTrace::ladderSpacingFor). Boundaries that collide after
  * alignment merge, so short runs may yield fewer slices. Shard 0 is
  * never warmed (it starts cold, exactly like the sequential run);
@@ -120,10 +118,6 @@ struct ShardedRunResult
     SimStats stats;
     /** Per-shard region statistics (diagnostics and tests). */
     std::vector<SimStats> perShard;
-    /** Whole-run BBEF/BBV profile (live mode only; empty in replay
-     *  mode, where the trace already carries the full profile). */
-    std::vector<double> bbef;
-    std::vector<double> bbv;
     /** Instructions detail-simulated (== run length). */
     uint64_t detailedInsts = 0;
     /**
@@ -133,8 +127,6 @@ struct ShardedRunResult
      * warm-dir state.
      */
     uint64_t warmedInsts = 0;
-    /** Modeled checkpoint-generation instructions (live mode only). */
-    uint64_t checkpointInsts = 0;
     /** Shards warmed from a persisted summary (wall-clock savings). */
     uint32_t warmRestores = 0;
     /** Summaries persisted by this run. */
@@ -158,22 +150,6 @@ ShardedRunResult runShardedReference(
     const std::shared_ptr<const ExecTrace> &trace, const SimConfig &config,
     const ShardOptions &opts,
     const CancelToken &cancel = CancelToken());
-
-/**
- * Live-mode overload: no trace, so shard lead-ins are reached through
- * an architectural CheckpointLibrary built in one functional pass
- * (charged as checkpointInsts) and the whole-run BBEF/BBV profile is
- * accumulated per shard and summed. Bit-identical to the trace
- * overload for the same @p length and @p config. Same cancellation
- * contract as the trace overload (the checkpoint-library pass itself
- * is not cancellable; it is bounded functional-mode work).
- */
-ShardedRunResult runShardedReference(const Program &program,
-                                     uint64_t length,
-                                     const SimConfig &config,
-                                     const ShardOptions &opts,
-                                     const CancelToken &cancel =
-                                         CancelToken());
 
 } // namespace yasim
 

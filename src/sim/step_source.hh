@@ -4,13 +4,14 @@
  *
  * This header is the boundary between the functional layer and every
  * consumer of its output. The architectural stream is
- * machine-configuration-independent, so a recorded trace
- * (sim/trace.hh) can stand in for the interpreter: OooCore::run, the
- * techniques, and the profilers all program against StepSource and
- * cannot tell a TraceReplayer from a live FunctionalSim. Code above
- * the functional layer includes this header (or obtains a StepSource
- * through techniques/trace_store.hh); only the simulator's own layer
- * includes sim/functional.hh.
+ * machine-configuration-independent, so it is interpreted once, into a
+ * recorded trace (sim/trace.hh), and every consumer — OooCore::run,
+ * the techniques, shards, live points, the profilers — replays that
+ * recording through a TraceReplayer. The interpreter implements the
+ * same interface so the recorder, the length probe, and the tests can
+ * drive it; code above the functional layer includes this header (or
+ * obtains a StepSource through techniques/trace_store.hh), never
+ * sim/functional.hh.
  *
  * Three execution modes cover every technique in the paper:
  *
@@ -51,10 +52,11 @@ struct ExecRecord
 };
 
 /**
- * Producer of an in-order dynamic instruction stream. Implemented live
- * by FunctionalSim and from a recording by TraceReplayer; both must
- * produce bit-identical streams and warming call sequences for the same
- * program.
+ * Producer of an in-order dynamic instruction stream. Implemented by
+ * the interpreter (sim/functional.hh) and from a recording by
+ * TraceReplayer; both must produce bit-identical streams and warming
+ * call sequences for the same program — that contract is what lets a
+ * recording stand in for interpretation.
  */
 class StepSource
 {

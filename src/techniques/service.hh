@@ -37,8 +37,8 @@ class SimulationService
 
     /**
      * The shared execution-trace store, or nullptr when this service
-     * interprets live on every run. TechniqueContext::make copies this
-     * into the context it builds.
+     * has none (each run then replays a private recording).
+     * TechniqueContext::make copies this into the context it builds.
      */
     virtual TraceStore *traceStore() { return nullptr; }
 };

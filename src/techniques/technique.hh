@@ -68,10 +68,10 @@ struct TechniqueContext
     CostModel cost;
     /**
      * Shared execution-trace store (techniques/trace_store.hh), or
-     * nullptr to interpret live (--no-trace). Techniques open their
+     * nullptr for a store-less context. Techniques open their
      * instruction streams through openStepSource(ctx, input), which
-     * replays the store's recording when one is available; results are
-     * bit-identical either way.
+     * replays the store's recording, or a private one when there is no
+     * store; results are bit-identical either way.
      */
     TraceStore *traces = nullptr;
     /**
@@ -109,9 +109,9 @@ struct TechniqueContext
 
     /**
      * Build a context with the reference length resolved through
-     * @p service — with an ExperimentEngine this hits the in-memory /
-     * on-disk length cache instead of re-measuring. The preferred
-     * construction path.
+     * @p service — with an ExperimentEngine this is the length of the
+     * shared reference trace, memoized. The preferred construction
+     * path.
      */
     static TechniqueContext make(const std::string &benchmark,
                                  const SuiteConfig &suite,
@@ -183,7 +183,8 @@ using TechniquePtr = std::shared_ptr<const Technique>;
 /**
  * Measure the dynamic length of a benchmark's reference input under
  * @p suite scaling. This is the raw primitive — one architectural
- * fast-forward pass, uncached. Callers that loop should go through a
+ * fast-forward pass, uncached (defined beside the recorder in
+ * techniques/trace_store.cc). Callers that loop should go through a
  * SimulationService (an ExperimentEngine caches lengths in memory and
  * on disk).
  */

@@ -38,12 +38,11 @@ TraceStore::keyText(const std::string &benchmark, InputSet input,
                     const SuiteConfig &suite) const
 {
     return csprintf("yasim-trace|v%d|bench=%s|input=%s|"
-                    "ref=%llu,seed=%llu|ckpt=%llu",
+                    "ref=%llu,seed=%llu",
                     kTraceFormatVersion, benchmark.c_str(),
                     inputSetName(input),
                     (unsigned long long)suite.referenceInstructions,
-                    (unsigned long long)suite.seed,
-                    (unsigned long long)opts.checkpointSpacing);
+                    (unsigned long long)suite.seed);
 }
 
 std::string
@@ -197,11 +196,8 @@ TraceStore::get(const std::string &benchmark, InputSet input,
         trace = loadFromDisk(key, workload.program);
         from_disk = trace != nullptr;
     }
-    if (!trace) {
-        ExecTrace::Options topts;
-        topts.checkpointSpacing = opts.checkpointSpacing;
-        trace = ExecTrace::record(workload.program, topts);
-    }
+    if (!trace)
+        trace = ExecTrace::record(workload.program);
 
     {
         std::lock_guard<std::mutex> lock(mutex);
@@ -235,16 +231,11 @@ openStepSource(const std::string &benchmark, InputSet input,
                const SuiteConfig &suite, TraceStore *traces)
 {
     StepSourceHandle handle;
-    if (traces) {
-        handle.trace = traces->get(benchmark, input, suite);
-        handle.source =
-            std::make_unique<TraceReplayer>(handle.trace);
-    } else {
-        handle.workload = std::make_unique<Workload>(
-            buildWorkload(benchmark, input, suite));
-        handle.source =
-            std::make_unique<FunctionalSim>(handle.workload->program);
-    }
+    handle.trace =
+        traces ? traces->get(benchmark, input, suite)
+               : ExecTrace::record(
+                     buildWorkload(benchmark, input, suite).program);
+    handle.source = std::make_unique<TraceReplayer>(handle.trace);
     return handle;
 }
 
@@ -252,6 +243,21 @@ StepSourceHandle
 openStepSource(const TechniqueContext &ctx, InputSet input)
 {
     return openStepSource(ctx.benchmark, input, ctx.suite, ctx.traces);
+}
+
+uint64_t
+measureReferenceLength(const std::string &benchmark,
+                       const SuiteConfig &suite)
+{
+    // One uncached architectural pass: cheaper than recording a trace
+    // nobody asked to keep.
+    Workload workload =
+        buildWorkload(benchmark, InputSet::Reference, suite);
+    FunctionalSim sim(workload.program);
+    uint64_t length = sim.fastForward(~0ULL);
+    YASIM_CHECK(sim.halted(), "reference run of '%s' did not halt",
+                benchmark.c_str());
+    return length;
 }
 
 } // namespace yasim

@@ -12,9 +12,11 @@
  * repeated bench invocation performs zero functional interpretations.
  *
  * openStepSource() is the one call sites use: it yields a TraceReplayer
- * over the shared trace when a store is available, or a freshly-built
- * workload plus live FunctionalSim when not (--no-trace) — with
- * bit-identical downstream results either way.
+ * over the shared trace when a store is available, or over a private
+ * recording when not (DirectService, hand-built contexts) — replay is
+ * the only way a technique sees instructions. This file is also the
+ * seam where the techniques layer reaches the interpreter at all: the
+ * recorder and the reference-length probe.
  */
 
 #ifndef YASIM_TECHNIQUES_TRACE_STORE_HH
@@ -38,8 +40,6 @@ struct TraceStoreOptions
 {
     /** Spill directory; empty = in-memory only. */
     std::string cacheDir;
-    /** Embedded-checkpoint spacing (0 = adaptive; see ExecTrace). */
-    uint64_t checkpointSpacing = 0;
     /** In-memory trace budget in bytes; LRU eviction beyond it. */
     size_t maxBytes = size_t(1) << 30;
     /** Spill-directory budget in bytes (0 = unbounded); the oldest
@@ -133,32 +133,20 @@ class TraceStore
     TraceCounters ctr;
 };
 
-/**
- * Either face of the StepSource seam, plus everything the source must
- * keep alive: the shared trace (replay) or the built workload (live).
- */
+/** A replayer plus the trace it replays (which owns the program). */
 struct StepSourceHandle
 {
-    /** Non-null in replay mode. */
     std::shared_ptr<const ExecTrace> trace;
-    /** Non-null in live mode (owns the program the sim runs). */
-    std::unique_ptr<Workload> workload;
     std::unique_ptr<StepSource> source;
 
     /** The program behind the stream (for profilers and block maps). */
-    const Program &program() const
-    {
-        return trace ? trace->program() : workload->program;
-    }
-
-    /** True when steps come from a recording. */
-    bool replay() const { return trace != nullptr; }
+    const Program &program() const { return trace->program(); }
 };
 
 /**
  * Open the instruction stream for (@p benchmark, @p input, @p suite):
- * a TraceReplayer over @p traces when non-null, a live FunctionalSim
- * over a freshly-built workload otherwise.
+ * a TraceReplayer over the trace @p traces holds when non-null, over a
+ * private recording otherwise.
  */
 StepSourceHandle openStepSource(const std::string &benchmark,
                                 InputSet input, const SuiteConfig &suite,

@@ -1,4 +1,4 @@
-/** @file Tests for architectural checkpoints. */
+/** @file Tests for warm-state checkpoints. */
 
 #include <gtest/gtest.h>
 
@@ -11,10 +11,10 @@
 #include "sim/checkpoint.hh"
 #include "sim/functional.hh"
 #include "sim/memory.hh"
+#include "sim/trace.hh"
 #include "support/failpoint.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/memory_hierarchy.hh"
-#include "workloads/suite.hh"
 
 namespace yasim {
 namespace {
@@ -40,52 +40,65 @@ loopProgram()
     return b.finish();
 }
 
+/** The composite warm blob of @p mem and @p bp, for bit comparisons. */
+std::string
+warmBlobOf(const MemoryHierarchy &mem, const CombinedPredictor &bp)
+{
+    std::ostringstream os;
+    mem.serializeWarmState(os);
+    bp.serializeWarmState(os);
+    return os.str();
+}
+
 TEST(Checkpoint, RestoreResumesIdentically)
 {
+    // The sharded resume: warm to a position, carry the tables in a
+    // checkpoint, restore them into fresh tables over a replayer seeked
+    // to that position, keep warming — the result must equal one
+    // straight warming pass.
     Program p = loopProgram();
+    auto trace = ExecTrace::record(p);
+    MemoryConfig mcfg;
+    BranchPredictorConfig bcfg;
 
-    // Run A straight through; run B via a mid-point checkpoint.
-    FunctionalSim a(p);
-    a.fastForward(~0ULL);
+    MemoryHierarchy straight_mem(mcfg);
+    CombinedPredictor straight_bp(bcfg);
+    TraceReplayer straight(trace);
+    straight.fastForwardWarm(~0ULL, &straight_mem, &straight_bp);
 
-    FunctionalSim b1(p);
-    b1.fastForward(2000);
-    Checkpoint cp = Checkpoint::capture(b1);
+    MemoryHierarchy first_mem(mcfg);
+    CombinedPredictor first_bp(bcfg);
+    TraceReplayer first(trace);
+    first.fastForwardWarm(2000, &first_mem, &first_bp);
+    Checkpoint cp = Checkpoint::atPosition(first.instsExecuted());
+    cp.attachUarch(first_mem, first_bp, "k");
     EXPECT_EQ(cp.instruction(), 2000u);
 
-    FunctionalSim b2(p);
-    b2.fastForward(17); // arbitrary garbage state to overwrite
-    cp.restore(b2);
-    EXPECT_EQ(b2.instsExecuted(), 2000u);
-    b2.fastForward(~0ULL);
+    MemoryHierarchy resumed_mem(mcfg);
+    CombinedPredictor resumed_bp(bcfg);
+    ASSERT_TRUE(cp.restoreUarch(resumed_mem, resumed_bp, "k"));
+    TraceReplayer resumed(trace);
+    resumed.seek(cp.instruction());
+    resumed.fastForwardWarm(~0ULL, &resumed_mem, &resumed_bp);
 
-    EXPECT_EQ(a.instsExecuted(), b2.instsExecuted());
-    for (int r = 0; r < numIntRegs; ++r)
-        EXPECT_EQ(a.intReg(r), b2.intReg(r)) << "r" << r;
+    EXPECT_EQ(resumed.instsExecuted(), straight.instsExecuted());
+    EXPECT_EQ(warmBlobOf(resumed_mem, resumed_bp),
+              warmBlobOf(straight_mem, straight_bp));
 }
 
 TEST(Checkpoint, CapturesHaltState)
 {
+    // A checkpoint at the halt position resumes a halted stream.
     Program p = loopProgram();
-    FunctionalSim sim(p);
-    sim.fastForward(~0ULL);
-    ASSERT_TRUE(sim.halted());
-    Checkpoint cp = Checkpoint::capture(sim);
-    FunctionalSim fresh(p);
-    cp.restore(fresh);
-    EXPECT_TRUE(fresh.halted());
-    EXPECT_EQ(fresh.fastForward(10), 0u);
-}
-
-TEST(Checkpoint, FootprintTracksTouchedMemory)
-{
-    Program p = loopProgram();
-    FunctionalSim early(p), late(p);
-    early.fastForward(100);
-    late.fastForward(4000);
-    Checkpoint cp_early = Checkpoint::capture(early);
-    Checkpoint cp_late = Checkpoint::capture(late);
-    EXPECT_GT(cp_late.footprintBytes(), cp_early.footprintBytes());
+    auto trace = ExecTrace::record(p);
+    std::stringstream ss;
+    Checkpoint::atPosition(trace->length()).writeBinary(ss);
+    Checkpoint back = Checkpoint::atPosition(0);
+    ASSERT_TRUE(Checkpoint::readBinary(ss, back));
+    TraceReplayer resumed(trace);
+    resumed.seek(back.instruction());
+    EXPECT_TRUE(resumed.halted());
+    EXPECT_EQ(resumed.fastForward(10), 0u);
 }
 
 TEST(Checkpoint, FramedFileRoundTripRestoresIdentically)
@@ -96,26 +109,13 @@ TEST(Checkpoint, FramedFileRoundTripRestoresIdentically)
     fs::create_directories(dir);
     const std::string path = (dir / "mid.ckpt").string();
 
-    Program p = loopProgram();
-    FunctionalSim source(p);
-    source.fastForward(2000);
-    Checkpoint cp = Checkpoint::capture(source);
-    ASSERT_TRUE(cp.saveFile(path));
-
-    Checkpoint loaded = Checkpoint::capture(FunctionalSim(p));
+    // A checkpoint with no summary is a bare position; it survives the
+    // framed file too.
+    ASSERT_TRUE(Checkpoint::atPosition(2000).saveFile(path));
+    Checkpoint loaded = Checkpoint::atPosition(0);
     ASSERT_TRUE(Checkpoint::loadFile(path, loaded));
     EXPECT_EQ(loaded.instruction(), 2000u);
-
-    // Resuming from the round-tripped checkpoint matches a straight
-    // run exactly.
-    FunctionalSim direct(p);
-    direct.fastForward(~0ULL);
-    FunctionalSim resumed(p);
-    loaded.restore(resumed);
-    resumed.fastForward(~0ULL);
-    EXPECT_EQ(direct.instsExecuted(), resumed.instsExecuted());
-    for (int r = 0; r < numIntRegs; ++r)
-        EXPECT_EQ(direct.intReg(r), resumed.intReg(r)) << "r" << r;
+    EXPECT_FALSE(loaded.hasUarch());
 
     fs::remove_all(dir);
 }
@@ -129,9 +129,13 @@ TEST(Checkpoint, CorruptFileIsQuarantinedAndLoadFails)
     const std::string path = (dir / "rot.ckpt").string();
 
     Program p = loopProgram();
+    MemoryHierarchy mem(MemoryConfig{});
+    CombinedPredictor bp(BranchPredictorConfig{});
     FunctionalSim source(p);
-    source.fastForward(500);
-    ASSERT_TRUE(Checkpoint::capture(source).saveFile(path));
+    source.fastForwardWarm(500, &mem, &bp);
+    Checkpoint cp = Checkpoint::atPosition(500);
+    cp.attachUarch(mem, bp, "k");
+    ASSERT_TRUE(cp.saveFile(path));
 
     // Flip a payload byte: the frame checksum must catch it, the file
     // must move aside, and loadFile must report failure (the caller
@@ -145,7 +149,7 @@ TEST(Checkpoint, CorruptFileIsQuarantinedAndLoadFails)
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << bytes;
     }
-    Checkpoint loaded = Checkpoint::capture(FunctionalSim(p));
+    Checkpoint loaded = Checkpoint::atPosition(0);
     EXPECT_FALSE(Checkpoint::loadFile(path, loaded));
     EXPECT_FALSE(fs::exists(path));
     EXPECT_TRUE(fs::exists(path + ".corrupt"));
@@ -154,16 +158,6 @@ TEST(Checkpoint, CorruptFileIsQuarantinedAndLoadFails)
     EXPECT_FALSE(Checkpoint::loadFile(path, loaded));
 
     fs::remove_all(dir);
-}
-
-/** The composite warm blob of @p mem and @p bp, for bit comparisons. */
-std::string
-warmBlobOf(const MemoryHierarchy &mem, const CombinedPredictor &bp)
-{
-    std::ostringstream os;
-    mem.serializeWarmState(os);
-    bp.serializeWarmState(os);
-    return os.str();
 }
 
 TEST(Checkpoint, UarchSummaryRoundTripsThroughFile)
@@ -182,9 +176,7 @@ TEST(Checkpoint, UarchSummaryRoundTripsThroughFile)
     FunctionalSim sim(p);
     sim.fastForwardWarm(3000, &mem, &bp);
 
-    // A carrier summary holds only the warmed tables, no arch state.
     Checkpoint cp = Checkpoint::atPosition(3000);
-    EXPECT_FALSE(cp.hasArchState());
     EXPECT_FALSE(cp.hasUarch());
     cp.attachUarch(mem, bp, "warm-key");
     EXPECT_TRUE(cp.hasUarch());
@@ -194,7 +186,6 @@ TEST(Checkpoint, UarchSummaryRoundTripsThroughFile)
     Checkpoint loaded = Checkpoint::atPosition(0);
     ASSERT_TRUE(Checkpoint::loadFile(path, loaded));
     EXPECT_EQ(loaded.instruction(), 3000u);
-    EXPECT_FALSE(loaded.hasArchState());
     ASSERT_TRUE(loaded.hasUarch());
     EXPECT_EQ(loaded.uarchKey(), "warm-key");
 
@@ -233,47 +224,13 @@ TEST(Checkpoint, UarchRestoreRefusesWrongKeyOrGeometry)
     EXPECT_FALSE(cp.restoreUarch(wrong, wrongbp, "warm-key"));
 }
 
-TEST(Checkpoint, UarchSummarySurvivesArchCheckpoints)
-{
-    // Live-mode shard summaries attach warm state to a full
-    // architectural capture; both payloads must round-trip together.
-    Program p = loopProgram();
-    MemoryConfig mcfg;
-    BranchPredictorConfig bcfg;
-    MemoryHierarchy mem(mcfg);
-    CombinedPredictor bp(bcfg);
-    FunctionalSim sim(p);
-    sim.fastForwardWarm(2000, &mem, &bp);
-
-    Checkpoint cp = Checkpoint::capture(sim);
-    cp.attachUarch(mem, bp, "k");
-    std::stringstream ss;
-    cp.writeBinary(ss);
-
-    Checkpoint back = Checkpoint::atPosition(0);
-    ASSERT_TRUE(Checkpoint::readBinary(ss, back));
-    EXPECT_TRUE(back.hasArchState());
-    ASSERT_TRUE(back.hasUarch());
-
-    FunctionalSim resumed(p);
-    back.restore(resumed);
-    EXPECT_EQ(resumed.instsExecuted(), 2000u);
-    MemoryHierarchy mem2(mcfg);
-    CombinedPredictor bp2(bcfg);
-    ASSERT_TRUE(back.restoreUarch(mem2, bp2, "k"));
-    EXPECT_EQ(warmBlobOf(mem2, bp2), warmBlobOf(mem, bp));
-}
-
 TEST(Checkpoint, StaleFormatVersionRejected)
 {
-    Program p = loopProgram();
-    FunctionalSim sim(p);
-    sim.fastForward(100);
     std::stringstream ss;
-    Checkpoint::capture(sim).writeBinary(ss);
+    Checkpoint::atPosition(100).writeBinary(ss);
 
     // Regress the leading version marker to the previous layout: the
-    // reader must reject it rather than misparse the v3 trailer.
+    // reader must reject it rather than misparse the v3 arch slice.
     std::string bytes = ss.str();
     const uint32_t stale = kCheckpointFormatVersion - 1;
     bytes.replace(0, sizeof(stale),
@@ -281,51 +238,6 @@ TEST(Checkpoint, StaleFormatVersionRejected)
     std::stringstream rotted(bytes);
     Checkpoint out = Checkpoint::atPosition(0);
     EXPECT_FALSE(Checkpoint::readBinary(rotted, out));
-}
-
-TEST(CheckpointLibrary, BuildsInOnePass)
-{
-    Program p = loopProgram();
-    CheckpointLibrary lib;
-    uint64_t cost = lib.build(p, {500, 2000, 4000});
-    EXPECT_EQ(lib.size(), 3u);
-    EXPECT_EQ(cost, 4000u); // one pass to the last position
-    EXPECT_EQ(lib.at(0).instruction(), 500u);
-    EXPECT_EQ(lib.at(2).instruction(), 4000u);
-}
-
-TEST(CheckpointLibrary, LatestAtOrBefore)
-{
-    Program p = loopProgram();
-    CheckpointLibrary lib;
-    lib.build(p, {500, 2000, 4000});
-    EXPECT_EQ(lib.latestAtOrBefore(499), nullptr);
-    EXPECT_EQ(lib.latestAtOrBefore(500)->instruction(), 500u);
-    EXPECT_EQ(lib.latestAtOrBefore(3999)->instruction(), 2000u);
-    EXPECT_EQ(lib.latestAtOrBefore(1 << 30)->instruction(), 4000u);
-}
-
-TEST(CheckpointLibrary, RestoreFromLibraryMatchesDirectRun)
-{
-    SuiteConfig suite;
-    suite.referenceInstructions = 150'000;
-    Workload w = buildWorkload("gzip", InputSet::Reference, suite);
-
-    CheckpointLibrary lib;
-    lib.build(w.program, {50'000});
-
-    FunctionalSim direct(w.program);
-    direct.fastForward(60'000);
-
-    FunctionalSim restored(w.program);
-    lib.latestAtOrBefore(55'000)->restore(restored);
-    restored.fastForward(60'000 - restored.instsExecuted());
-
-    EXPECT_EQ(direct.pc(), restored.pc());
-    for (int r = 0; r < numIntRegs; ++r)
-        EXPECT_EQ(direct.intReg(r), restored.intReg(r)) << "r" << r;
-    EXPECT_EQ(direct.memory().read(heapBase + 64),
-              restored.memory().read(heapBase + 64));
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Tests for checkpoint-sharded parallel detailed simulation: the shard
  * planner, the drain-boundary exactness contract against the
- * sequential reference, replay/live bit-identity, and warmed-uarch
- * summary persistence.
+ * sequential reference, store-less vs store-backed bit-identity at the
+ * technique level, and warmed-uarch summary persistence.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +11,13 @@
 #include <cmath>
 #include <filesystem>
 
-#include "sim/functional.hh"
 #include "sim/ooo_core.hh"
 #include "sim/sharded.hh"
 #include "sim/trace.hh"
 #include "support/failpoint.hh"
+#include "techniques/full_reference.hh"
+#include "techniques/service.hh"
+#include "techniques/trace_store.hh"
 #include "workloads/suite.hh"
 
 namespace yasim {
@@ -165,62 +167,38 @@ TEST(Sharded, SingleShardMatchesSequentialBitForBit)
         EXPECT_EQ(r.stats.l2Misses, seq.l2Misses);
         EXPECT_EQ(r.stats.memStallCycles, seq.memStallCycles);
         EXPECT_EQ(r.warmedInsts, 0u);
-        EXPECT_EQ(r.checkpointInsts, 0u);
     }
 }
 
-TEST(Sharded, ReplayAndLiveShardingBitIdentical)
+TEST(Sharded, StoreLessAndStoreBackedShardingBitIdentical)
 {
-    Workload w = workloadOf(400'000);
-    auto trace = ExecTrace::record(w.program);
-    SimConfig config;
-
-    ShardOptions opts;
-    opts.shards = 4;
-    opts.warmupInsts = 65'536;
-    ShardedRunResult replay = runShardedReference(trace, config, opts);
-    ShardedRunResult live =
-        runShardedReference(w.program, trace->length(), config, opts);
-
-    ASSERT_EQ(replay.perShard.size(), live.perShard.size());
-    for (size_t k = 0; k < replay.perShard.size(); ++k) {
-        EXPECT_EQ(replay.perShard[k].instructions,
-                  live.perShard[k].instructions) << k;
-        EXPECT_EQ(replay.perShard[k].cycles, live.perShard[k].cycles)
-            << k;
-        EXPECT_EQ(replay.perShard[k].l1dMisses,
-                  live.perShard[k].l1dMisses) << k;
-        EXPECT_EQ(replay.perShard[k].condMispredicts,
-                  live.perShard[k].condMispredicts) << k;
+    // A store-less context records a private trace; it must produce
+    // the store-backed result bit for bit — statistics, profile, and
+    // modeled cost alike, with bounded warm-ups too.
+    SuiteConfig suite;
+    suite.referenceInstructions = 400'000;
+    DirectService direct;
+    TraceStore store;
+    TechniqueContext less = TechniqueContext::make("gzip", suite, direct);
+    TechniqueContext backed = less;
+    backed.traces = &store;
+    for (TechniqueContext *ctx : {&less, &backed}) {
+        ctx->shards.shards = 4;
+        ctx->shards.warmupInsts = 65'536;
     }
-    EXPECT_EQ(replay.stats.cycles, live.stats.cycles);
-    EXPECT_EQ(replay.stats.memStallCycles, live.stats.memStallCycles);
-    EXPECT_EQ(replay.warmedInsts, live.warmedInsts);
-    // Only live mode pays for the architectural entry pass.
-    EXPECT_EQ(replay.checkpointInsts, 0u);
-    EXPECT_GT(live.checkpointInsts, 0u);
-}
 
-TEST(Sharded, LiveProfileMatchesSequentialExactly)
-{
-    Workload w = workloadOf(400'000);
-    auto trace = ExecTrace::record(w.program);
-    SimConfig config;
-
-    ShardOptions opts;
-    opts.shards = 4;
-    ShardedRunResult live =
-        runShardedReference(w.program, trace->length(), config, opts);
-
-    // The trace records the full-run weight-1.0 profile — exactly what
-    // a sequential detailed pass accumulates. Stitched shard profiles
-    // must reproduce it bit for bit (integral doubles, exact sums).
-    ASSERT_EQ(live.bbef.size(), trace->bbef().size());
-    ASSERT_EQ(live.bbv.size(), trace->bbv().size());
-    for (size_t i = 0; i < live.bbef.size(); ++i) {
-        EXPECT_EQ(live.bbef[i], trace->bbef()[i]) << i;
-        EXPECT_EQ(live.bbv[i], trace->bbv()[i]) << i;
-    }
+    const FullReference reference;
+    TechniqueResult a = reference.run(less, SimConfig{});
+    TechniqueResult b = reference.run(backed, SimConfig{});
+    EXPECT_EQ(a.detailed.cycles, b.detailed.cycles);
+    EXPECT_EQ(a.detailed.l1dMisses, b.detailed.l1dMisses);
+    EXPECT_EQ(a.detailed.condMispredicts, b.detailed.condMispredicts);
+    EXPECT_EQ(a.detailed.memStallCycles, b.detailed.memStallCycles);
+    EXPECT_EQ(a.bbef, b.bbef);
+    EXPECT_EQ(a.bbv, b.bbv);
+    EXPECT_EQ(a.detailedInsts, b.detailedInsts);
+    EXPECT_EQ(a.workUnits, b.workUnits);
+    EXPECT_GT(a.workUnits, static_cast<double>(a.detailedInsts));
 }
 
 TEST(Sharded, WarmSummariesPersistAndNeverChangeResults)
@@ -242,23 +220,15 @@ TEST(Sharded, WarmSummariesPersistAndNeverChangeResults)
     EXPECT_EQ(first.warmRestores, 0u);
     EXPECT_EQ(first.warmSaves, first.perShard.size() - 1);
 
-    // Second run warms from the persisted summaries...
+    // Second run warms from the persisted summaries, which change
+    // wall-clock, never results or modeled cost.
     ShardedRunResult second = runShardedReference(trace, config, opts);
     EXPECT_EQ(second.warmRestores, second.perShard.size() - 1);
     EXPECT_EQ(second.warmSaves, 0u);
-
-    // ...and a live run shares them across modes.
-    ShardedRunResult live =
-        runShardedReference(w.program, trace->length(), config, opts);
-    EXPECT_EQ(live.warmRestores, live.perShard.size() - 1);
-
-    // Summaries change wall-clock, never results or modeled cost.
-    for (const ShardedRunResult *r : {&second, &live}) {
-        EXPECT_EQ(r->stats.cycles, first.stats.cycles);
-        EXPECT_EQ(r->stats.l1dMisses, first.stats.l1dMisses);
-        EXPECT_EQ(r->stats.condMispredicts, first.stats.condMispredicts);
-        EXPECT_EQ(r->warmedInsts, first.warmedInsts);
-    }
+    EXPECT_EQ(second.stats.cycles, first.stats.cycles);
+    EXPECT_EQ(second.stats.l1dMisses, first.stats.l1dMisses);
+    EXPECT_EQ(second.stats.condMispredicts, first.stats.condMispredicts);
+    EXPECT_EQ(second.warmedInsts, first.warmedInsts);
 
     // A latency-only variant reuses the same warm files: the warm key
     // covers only table-shaping configuration.

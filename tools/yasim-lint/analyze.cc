@@ -501,6 +501,13 @@ ruleG1(const Project &project, std::vector<Finding> &findings)
          {"techniques/trace_store.hh"},
          "consume the StepSource seam (openStepSource, "
          "techniques/trace_store.hh) instead"},
+        {{"src/sim/ooo_core", "src/sim/sharded", "src/sim/livepoint",
+          "src/sim/checkpoint"},
+         {"sim/functional.hh"},
+         {},
+         "replay the recorded trace (TraceReplayer, sim/trace.hh); "
+         "only the recorder and the length probe drive the "
+         "interpreter"},
         {{"bench/"},
          {"support/thread_pool.hh", "support/parallel.hh",
           "engine/engine.hh", "sim/functional.hh"},
@@ -1613,7 +1620,9 @@ analyzeRuleCatalog()
     std::vector<RuleInfo> catalog = ruleCatalog();
     catalog.push_back({"G1", "layering by include-graph reachability: "
                              "techniques/core stop at the StepSource "
-                             "seam, bench stops at the service API"});
+                             "seam, sim trace consumers never reach "
+                             "the interpreter, bench stops at the "
+                             "service API"});
     catalog.push_back({"K1", "cache-key completeness: every config "
                              "field is stamped into its annotated "
                              "cache key or justified key-exempt"});

@@ -11,9 +11,11 @@
  *
  *   G1  layering by reachability: src/techniques and src/core must not
  *       reach sim/functional.hh through any chain of includes except
- *       the StepSource seam (techniques/trace_store.hh); bench drivers
- *       must not reach engine/pool internals past the driver/service
- *       API headers. Computed on the transitive include graph, so a
+ *       the StepSource seam (techniques/trace_store.hh); the trace
+ *       consumers in src/sim (ooo_core, sharded, livepoint,
+ *       checkpoint) must not reach it at all; bench drivers must not
+ *       reach engine/pool internals past the driver/service API
+ *       headers. Computed on the transitive include graph, so a
  *       violation hidden three headers deep is still a violation.
  *   K1  cache-key completeness: every field of a config struct named
  *       by a `key(<key>) covers Struct(header)` annotation must be

@@ -10,10 +10,12 @@
  * `microbench --json [path]` switches to the machine-readable perf
  * gate instead: it measures live vs replayed stepping (per-step and
  * batched), a 44-config PB sweep with and without the trace subsystem,
- * and the compressed spill's bytes/instruction and decode rate, writes
- * the numbers to BENCH_microbench.json, and exits nonzero when replay
- * fails to beat live interpretation, batched replay fails to beat
- * per-step replay, or the spill exceeds 6 bytes per instruction.
+ * the compressed spill's bytes/instruction and decode rate, and the
+ * functional-warming rate over the detailed-core rate on PB design row
+ * 0, writes the numbers to BENCH_microbench.json, and exits nonzero
+ * when replay fails to beat live interpretation, batched replay fails
+ * to beat per-step replay, or the spill exceeds 6 bytes per
+ * instruction.
  *
  * `microbench --json-ooo [path]` runs the detailed-core gate: OoO
  * replay throughput plus the checkpoint-sharded reference at 8 shards,
@@ -56,6 +58,8 @@
 #include "support/thread_pool.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/cache.hh"
+#include "uarch/memory_hierarchy.hh"
+#include "uarch/tlb.hh"
 #include "workloads/suite.hh"
 
 using namespace yasim;
@@ -291,6 +295,37 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
+/** The data addresses of the gzip reference run, in execution order. */
+std::vector<uint64_t>
+gzipDataAddrs()
+{
+    Workload w = buildWorkload("gzip", InputSet::Reference, benchSuite());
+    TraceReplayer replayer(ExecTrace::record(w.program));
+    std::vector<uint64_t> addrs;
+    std::vector<ExecRecord> buf(4096);
+    while (uint64_t n = replayer.stepBatch(buf.data(), buf.size()))
+        for (uint64_t i = 0; i < n; ++i)
+            if (buf[i].inst->isLoad() || buf[i].inst->isStore())
+                addrs.push_back(buf[i].memAddr);
+    return addrs;
+}
+
+void
+BM_TlbAccess(benchmark::State &state)
+{
+    // Replays a recorded stream, so the timed loop is the TLB alone.
+    const std::vector<uint64_t> addrs = gzipDataAddrs();
+    Tlb tlb("bm", static_cast<uint32_t>(state.range(0)));
+    uint64_t hits = 0;
+    for (auto _ : state)
+        for (uint64_t a : addrs)
+            hits += tlb.access(a);
+    benchmark::DoNotOptimize(hits);
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() *
+                                                 addrs.size()));
+}
+BENCHMARK(BM_TlbAccess)->Arg(16)->Arg(256);
+
 void
 BM_PredictorUpdate(benchmark::State &state)
 {
@@ -395,11 +430,13 @@ batchThroughput(StepSource &source)
  * 44-configuration Plackett-Burman sweep (99% fast-forward + 1000
  * detailed instructions per configuration) with one FunctionalSim per
  * configuration vs one shared ExecTrace (recording time included in
- * the trace total), and (c) the compressed spill's on-disk
- * bytes/instruction and decode throughput. Writes the numbers as JSON
- * and returns nonzero when replay fails to beat live stepping, batched
- * replay fails to beat per-step replay, the spill exceeds 6
- * bytes/instruction, or the sweeps disagree on total cycles.
+ * the trace total), (c) the compressed spill's on-disk
+ * bytes/instruction and decode throughput, and (d) functional warming
+ * over decoded-replay OooCore throughput on PB design row 0. Writes
+ * the numbers as JSON and returns nonzero when replay fails to beat
+ * live stepping, batched replay fails to beat per-step replay, the
+ * spill exceeds 6 bytes/instruction, or the sweeps disagree on total
+ * cycles.
  */
 int
 runJsonGate(const char *path)
@@ -482,6 +519,28 @@ runJsonGate(const char *path)
                             (decode_seconds > 0 ? decode_seconds : 1e-9));
     }
 
+    // (d) Functional warming vs decoded-replay detailed simulation on
+    // PB design row 0, the corner with 256-entry I- and D-TLBs. Sampling
+    // pays off only while warming stays much cheaper than the core.
+    const SimConfig &corner = configs.front();
+    double warm_ips = 0, detailed_ips = 0;
+    for (int pass = 0; pass < 5; ++pass) {
+        TraceReplayer warm_replayer(step_trace);
+        MemoryHierarchy mem(corner.mem);
+        CombinedPredictor bp(corner.bp);
+        auto warm_start = std::chrono::steady_clock::now();
+        uint64_t warmed = warm_replayer.fastForwardWarm(~0ULL, &mem, &bp);
+        warm_ips = std::max(warm_ips, static_cast<double>(warmed) /
+                                          secondsSince(warm_start));
+        TraceReplayer detailed_replayer(step_trace);
+        OooCore core(corner);
+        auto detailed_start = std::chrono::steady_clock::now();
+        uint64_t detailed = core.run(detailed_replayer, ~0ULL);
+        detailed_ips =
+            std::max(detailed_ips, static_cast<double>(detailed) /
+                                       secondsSince(detailed_start));
+    }
+
     // Historical field names, now under the versioned yasim-report
     // schema (the CI gate indexes them directly either way).
     JsonReport report("perf-gate");
@@ -499,6 +558,9 @@ runJsonGate(const char *path)
     report.setNumber("sweep_wall_seconds_trace", trace_seconds);
     report.setNumber("sweep_speedup", speedup);
     report.setBool("sweep_cycles_match", trace_cycles == live_cycles);
+    report.setNumber("warm_insts_per_sec_pb_row0", warm_ips);
+    report.setNumber("detailed_insts_per_sec_pb_row0", detailed_ips);
+    report.setNumber("warm_over_detailed", warm_ips / detailed_ips);
     writeReportFile(report, path);
 
     std::printf("step throughput: live %.1fM inst/s, replay %.1fM inst/s "
@@ -512,6 +574,9 @@ runJsonGate(const char *path)
     std::printf("trace spill: %.2f bytes/inst on disk, decode %.1fM "
                 "inst/s\n",
                 bytes_per_inst, decode_ips / 1e6);
+    std::printf("PB row 0: warming %.1fM inst/s, detailed %.1fM inst/s "
+                "(warming %.2fx detailed)\n",
+                warm_ips / 1e6, detailed_ips / 1e6, warm_ips / detailed_ips);
     std::printf("wrote %s\n", path);
 
     if (trace_cycles != live_cycles) {

@@ -1,5 +1,7 @@
 #include "uarch/cache.hh"
 
+#include <bit>
+
 #include "support/logging.hh"
 #include "uarch/warm_state.hh"
 
@@ -27,17 +29,6 @@ isPow2(uint32_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-inline uint32_t
-log2u(uint32_t v)
-{
-    uint32_t r = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++r;
-    }
-    return r;
-}
-
 } // namespace
 
 Cache::Cache(std::string name, const CacheConfig &config)
@@ -50,7 +41,8 @@ Cache::Cache(std::string name, const CacheConfig &config)
     YASIM_ASSERT(num_lines % cfg.assoc == 0);
     numSets = static_cast<uint32_t>(num_lines / cfg.assoc);
     YASIM_ASSERT(isPow2(numSets));
-    blockShift = log2u(cfg.blockBytes);
+    blockShift = std::countr_zero(cfg.blockBytes);
+    setShift = std::countr_zero(numSets);
     lines.assign(num_lines, Line());
 }
 
@@ -65,7 +57,7 @@ Cache::lookupAndFill(uint64_t addr)
 {
     uint64_t block = addr >> blockShift;
     uint32_t set = static_cast<uint32_t>(block & (numSets - 1));
-    uint64_t tag = block >> log2u(numSets);
+    uint64_t tag = block >> setShift;
 
     Line *base = &lines[static_cast<size_t>(set) * cfg.assoc];
     Line *victim = base;
@@ -119,7 +111,7 @@ Cache::probe(uint64_t addr) const
 {
     uint64_t block = addr >> blockShift;
     uint32_t set = static_cast<uint32_t>(block & (numSets - 1));
-    uint64_t tag = block >> log2u(numSets);
+    uint64_t tag = block >> setShift;
     const Line *base = &lines[static_cast<size_t>(set) * cfg.assoc];
     for (uint32_t w = 0; w < cfg.assoc; ++w)
         if (base[w].valid && base[w].tag == tag)

@@ -124,6 +124,8 @@ class Cache
     std::vector<Line> lines;
     uint32_t numSets;
     uint32_t blockShift;
+    /** log2(numSets): shifts the set index off a block address. */
+    uint32_t setShift;
     uint64_t lruClock = 0;
     /** Deterministic xorshift state for random replacement. */
     uint64_t rngState = 0x243f6a8885a308d3ULL;
